@@ -18,13 +18,13 @@ fn bench(c: &mut Criterion) {
     for cutoff in [2u64, 8, 32, 128] {
         g.bench_with_input(BenchmarkId::new("base_cutoff", cutoff), &cutoff, |b, &cut| {
             let cfg = EngineConfig { base_cutoff: cut, ..EngineConfig::default() };
-            b.iter(|| fast::price_american_call(&model, &cfg))
+            b.iter(|| fast::price_american_call_trapezoid(&model, &cfg))
         });
     }
     for (name, backend) in [("fft", Backend::Fft), ("direct_taps", Backend::DirectTaps)] {
         g.bench_with_input(BenchmarkId::new("backend", name), &backend, |b, &bk| {
             let cfg = EngineConfig { backend: bk, ..EngineConfig::default() };
-            b.iter(|| fast::price_american_call(&model, &cfg))
+            b.iter(|| fast::price_american_call_trapezoid(&model, &cfg))
         });
     }
     g.finish();

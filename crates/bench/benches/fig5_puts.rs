@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("fft-bopm-put", t), &t, |b, &t| {
             b.iter(|| {
                 let m = BopmModel::new(params, t).expect("model");
-                bopm::fast::price_american_put(&m, &cfg)
+                bopm::fast::price_american_put_trapezoid(&m, &cfg)
             })
         });
         g.bench_with_input(BenchmarkId::new("ql-bopm-put", t), &t, |b, &t| {
@@ -38,7 +38,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("fft-topm-put", t), &t, |b, &t| {
             b.iter(|| {
                 let m = TopmModel::new(params, t).expect("model");
-                topm::fast::price_american_put(&m, &cfg)
+                topm::fast::price_american_put_trapezoid(&m, &cfg)
             })
         });
         g.bench_with_input(BenchmarkId::new("vanilla-topm-put", t), &t, |b, &t| {

@@ -11,17 +11,18 @@
 //! paper-figures scaling         # empirical work-scaling exponents (Table 2)
 //! paper-figures batch           # batch-subsystem throughput (beyond-paper)
 //! paper-figures surface         # implied-vol surface inversion (beyond-paper)
+//! paper-figures crossover [--reps N]  # dense kernel vs trapezoid engine: T*
 //! paper-figures all
 //! ```
 
 use amopt_bench::{
-    median_secs, paper_book, sequential_facade_loop, serial_surface_loop, surface_grid,
-    time_batch_cold, time_pricer, Impl,
+    median_secs, paper_book, run_dense, run_pricer_with, sequential_facade_loop,
+    serial_surface_loop, surface_grid, time_batch_cold, time_pricer, Impl,
 };
 use amopt_cachesim::{kernels, EnergyModel};
 use amopt_core::batch::surface::implied_vol_surface;
 use amopt_core::batch::BatchPricer;
-use amopt_core::EngineConfig;
+use amopt_core::{EngineConfig, OptionParams};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -54,6 +55,7 @@ fn main() {
         "scaling" => scaling(max_t_fft),
         "batch" => batch(opt("--batch", 4096), opt("--steps", 252)),
         "surface" => surface(opt("--strikes", 8), opt("--expiries", 4), opt("--steps", 252)),
+        "crossover" => crossover(opt("--reps", 7)),
         "all" => {
             fig5("all", max_t_fft, max_t_naive);
             fig6(max_t_naive);
@@ -287,6 +289,74 @@ fn speedups(max_t_naive: usize) {
         }
     }
     write_csv("results/speedups.csv", "model,T,loop_s,fft_s,speedup", &csv);
+}
+
+/// The measurement behind the `T*` constants of `amopt_core::engine::dense`:
+/// per (model, option type), the serial table-driven dense kernel against
+/// the trapezoid engine at full pool width, median of `reps` pricings each,
+/// on five contracts — paper defaults, spot ×0.8 and ×1.25, volatility
+/// 0.15 and 0.45.  Each rung reports the contract on which the kernel fares
+/// worst; `T*` is the largest rung up to which the kernel is at least
+/// `MARGIN` faster on every contract at every rung.
+fn crossover(reps: usize) {
+    const LADDER: [usize; 11] = [64, 128, 252, 512, 1024, 1536, 2048, 3072, 4096, 6144, 8192];
+    // A win inside the run-to-run noise of this measurement is not a win.
+    const MARGIN: f64 = 1.1;
+    let families = [
+        (Impl::FftBopm, "bopm call"),
+        (Impl::FftBopmPut, "bopm put"),
+        (Impl::FftTopm, "topm call"),
+        (Impl::FftTopmPut, "topm put"),
+        (Impl::FftBsm, "bsm put"),
+    ];
+    let base = OptionParams::paper_defaults();
+    let contracts = [
+        base,
+        OptionParams { spot: base.spot * 0.8, ..base },
+        OptionParams { spot: base.spot * 1.25, ..base },
+        OptionParams { volatility: 0.15, ..base },
+        OptionParams { volatility: 0.45, ..base },
+    ];
+    let threads = amopt_parallel::current_num_threads();
+    println!(
+        "\n## Dense kernel vs trapezoid engine ({threads} threads, median of {reps}, \
+         worst of {} contracts)\n",
+        contracts.len()
+    );
+    println!("| model | T | dense [ms] | engine [ms] | engine/dense |");
+    println!("|---|---|---|---|---|");
+    let mut csv = Vec::new();
+    let mut scratch = Vec::new();
+    for (which, name) in families {
+        // The kernel must win at every depth up to T*, not just at T*.
+        let (mut t_star, mut lost) = (None, false);
+        for t in LADDER {
+            let mut worst = (f64::INFINITY, 0.0, 0.0);
+            for &p in &contracts {
+                let dense = median_secs(reps, || {
+                    std::hint::black_box(run_dense(which, p, t, &mut scratch));
+                });
+                let engine = median_secs(reps, || {
+                    std::hint::black_box(run_pricer_with(which, p, t));
+                });
+                if engine / dense < worst.0 {
+                    worst = (engine / dense, dense, engine);
+                }
+            }
+            let (ratio, dense, engine) = worst;
+            lost |= ratio < MARGIN;
+            if !lost {
+                t_star = Some(t);
+            }
+            println!("| {name} | {t} | {:.3} | {:.3} | {ratio:.2} |", dense * 1e3, engine * 1e3);
+            csv.push(format!("{name},{t},{dense:.6e},{engine:.6e},{ratio:.3}"));
+        }
+        match t_star {
+            Some(t) => println!("| {name} | **T\\* = {t}** | | | |"),
+            None => println!("| {name} | **no crossover: the engine wins throughout** | | | |"),
+        }
+    }
+    write_csv("results/crossover.csv", "model,T,dense_s,engine_s,engine_over_dense", &csv);
 }
 
 /// Beyond-paper: batch-subsystem throughput (options/sec) vs batch size and

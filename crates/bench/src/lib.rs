@@ -59,18 +59,26 @@ impl Impl {
     }
 }
 
-/// Prices one instance with `steps` time steps; returns the price.
+/// Prices one paper-default instance with `steps` time steps; returns the
+/// price.  The `Fft*` implementations run the paper's trapezoid engines at
+/// every `T` (the `*_trapezoid` entry points), never the dense route below
+/// `T*`.
 pub fn run_pricer(which: Impl, steps: usize) -> f64 {
-    let params = OptionParams::paper_defaults();
+    run_pricer_with(which, OptionParams::paper_defaults(), steps)
+}
+
+/// [`run_pricer`] on an arbitrary contract (the BSM implementations price
+/// it with `Y = 0`, the only yield that model admits).
+pub fn run_pricer_with(which: Impl, params: OptionParams, steps: usize) -> f64 {
     let cfg = EngineConfig::default();
     match which {
         Impl::FftBopm => {
             let m = BopmModel::new(params, steps).expect("model");
-            bopm::fast::price_american_call(&m, &cfg)
+            bopm::fast::price_american_call_trapezoid(&m, &cfg)
         }
         Impl::FftBopmPut => {
             let m = BopmModel::new(params, steps).expect("model");
-            bopm::fast::price_american_put(&m, &cfg)
+            bopm::fast::price_american_put_trapezoid(&m, &cfg)
         }
         Impl::QlBopm => {
             let m = BopmModel::new(params, steps).expect("model");
@@ -92,11 +100,11 @@ pub fn run_pricer(which: Impl, steps: usize) -> f64 {
         }
         Impl::FftTopm => {
             let m = TopmModel::new(params, steps).expect("model");
-            topm::fast::price_american_call(&m, &cfg)
+            topm::fast::price_american_call_trapezoid(&m, &cfg)
         }
         Impl::FftTopmPut => {
             let m = TopmModel::new(params, steps).expect("model");
-            topm::fast::price_american_put(&m, &cfg)
+            topm::fast::price_american_put_trapezoid(&m, &cfg)
         }
         Impl::VanillaTopm => {
             let m = TopmModel::new(params, steps).expect("model");
@@ -110,13 +118,48 @@ pub fn run_pricer(which: Impl, steps: usize) -> f64 {
         Impl::FftBsm => {
             let p = OptionParams { dividend_yield: 0.0, ..params };
             let m = BsmModel::new(p, steps).expect("model");
-            bsm::fast::price_american_put(&m, &cfg)
+            bsm::fast::price_american_put_trapezoid(&m, &cfg)
         }
         Impl::VanillaBsm => {
             let p = OptionParams { dividend_yield: 0.0, ..params };
             let m = BsmModel::new(p, steps).expect("model");
             bsm::naive::price_american_put(&m, bsm::naive::ExecMode::Parallel)
         }
+    }
+}
+
+/// Prices one `Fft*` instance with the serial table-driven dense kernel —
+/// the route the public fast pricers take at or below `T*` — reusing
+/// `scratch`; `None` for the loop-nest implementations.  Contracts as in
+/// [`run_pricer_with`].
+pub fn run_dense(
+    which: Impl,
+    params: OptionParams,
+    steps: usize,
+    scratch: &mut Vec<f64>,
+) -> Option<f64> {
+    let am = ExerciseStyle::American;
+    let opt = match which {
+        Impl::FftBopm | Impl::FftTopm => OptionType::Call,
+        _ => OptionType::Put,
+    };
+    match which {
+        Impl::FftBopm | Impl::FftBopmPut => {
+            let m = BopmModel::new(params, steps).expect("model");
+            Some(bopm::naive::price_with_scratch(&m, opt, am, scratch))
+        }
+        Impl::FftTopm | Impl::FftTopmPut => {
+            let m = TopmModel::new(params, steps).expect("model");
+            Some(topm::naive::price_with_scratch(&m, opt, am, scratch))
+        }
+        Impl::FftBsm => {
+            let p = OptionParams { dividend_yield: 0.0, ..params };
+            let m = BsmModel::new(p, steps).expect("model");
+            let apex =
+                bsm::naive::apex_value_with_scratch(&m, bsm::naive::Style::American, scratch);
+            Some(p.strike * apex)
+        }
+        _ => None,
     }
 }
 

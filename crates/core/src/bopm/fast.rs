@@ -25,13 +25,19 @@
 //! Rows are stored as **premiums** `δ = G − exercise ≥ 0` (see
 //! [`crate::engine`]): at expiry `δ = (0 − ex)₊ = (K − S·u^{2j−T})₊`, bounded
 //! by `K`, which keeps FFT inputs in a `T`-independent dynamic range.
+//!
+//! The public `price_american_*` entry points run these engines only above
+//! the measured crossover depth `T*` of [`crate::engine::dense`]; at or
+//! below it they run the table-driven dense sweep of [`super::naive`].
+//! The `*_trapezoid` entry points run the engines at every depth.
 
 use super::european::price_european_fft;
-use super::BopmModel;
+use super::{naive, BopmModel};
+use crate::engine::dense::{self, T_STAR_BOPM_CALL, T_STAR_BOPM_PUT};
 use crate::engine::left_cone::{self, GreenPrefixRow};
 use crate::engine::right_cone::{advance_red_row, solve_to_root};
 use crate::engine::{EngineConfig, ExpObstacle, RedRow};
-use crate::params::OptionType;
+use crate::params::{ExerciseStyle, OptionType};
 use amopt_stencil::Segment;
 
 /// Obstacle spec for the American call: `green(t, c) = φ(t, c) − K` with
@@ -105,11 +111,38 @@ fn first_step_row(model: &BopmModel) -> RedRow {
     RedRow { t: 1, reds: Segment::new(0, premiums), boundary: lo }
 }
 
-/// American call price via the FFT trapezoid decomposition
-/// (`fft-bopm` in the paper's plots).
+/// Merton: with `Y = 0` early exercise of a call never pays, so the
+/// American call is the European one and the trapezoid entry prices it with
+/// a single European FFT pass.
+fn call_is_european(model: &BopmModel) -> bool {
+    // amopt-lint: allow(float-eq) -- Y = 0.0 exactly is the Merton sentinel, not a tolerance check; any nonzero yield prices American
+    model.params().dividend_yield == 0.0
+}
+
+/// The put-side mirror: with `R = 0` early exercise of a put never pays.
+fn put_is_european(model: &BopmModel) -> bool {
+    // amopt-lint: allow(float-eq) -- R = 0.0 exactly is the no-early-exercise sentinel for puts, not a tolerance check; any nonzero rate prices American
+    model.params().rate == 0.0
+}
+
+/// American call price: the table-driven dense kernel at or below
+/// [`T_STAR_BOPM_CALL`] steps, the FFT trapezoid engine
+/// ([`price_american_call_trapezoid`]) above it.  A zero-yield call always
+/// takes the trapezoid entry, which prices it with one European FFT pass
+/// (Merton) — cheaper than the dense sweep once `T` passes about 1000.
 pub fn price_american_call(model: &BopmModel, cfg: &EngineConfig) -> f64 {
-    // amopt-lint: allow(float-eq) -- Y = 0.0 exactly routes calls to the European fast path (Merton); any nonzero yield prices American
-    if model.params().dividend_yield == 0.0 {
+    if model.steps() <= T_STAR_BOPM_CALL && !call_is_european(model) {
+        return dense::pooled(|s| {
+            naive::price_with_scratch(model, OptionType::Call, ExerciseStyle::American, s)
+        });
+    }
+    price_american_call_trapezoid(model, cfg)
+}
+
+/// American call price via the FFT trapezoid decomposition
+/// (`fft-bopm` in the paper's plots), at any depth.
+pub fn price_american_call_trapezoid(model: &BopmModel, cfg: &EngineConfig) -> f64 {
+    if call_is_european(model) {
         // Merton: American call on a non-dividend stock ≡ European.
         return price_european_fft(model, OptionType::Call);
     }
@@ -137,9 +170,8 @@ pub fn price_with_boundary_samples(
     let t_total = model.steps() as u64;
     let mut samples = Vec::with_capacity(rows + 2);
     samples.push((model.steps(), model.leaf_call_boundary()));
-    // amopt-lint: allow(float-eq) -- Y = 0.0 exactly is the Merton no-dividend sentinel, not a tolerance check
-    if model.params().dividend_yield == 0.0 || t_total == 1 {
-        let price = price_american_call(model, cfg);
+    if call_is_european(model) || t_total == 1 {
+        let price = price_american_call_trapezoid(model, cfg);
         return (price, samples);
     }
     let kernel = model.kernel();
@@ -208,11 +240,24 @@ fn first_step_put_row(model: &BopmModel) -> GreenPrefixRow {
     GreenPrefixRow { t: 1, boundary: lo, hi: row_hi, reds: Segment::new(lo + 1, values) }
 }
 
-/// American put price via the left-cone FFT trapezoid decomposition —
-/// `O(T log² T)` work and `O(T)` span, same complexity class as the calls.
+/// American put price: the table-driven dense kernel at or below
+/// [`T_STAR_BOPM_PUT`] steps, the left-cone engine
+/// ([`price_american_put_trapezoid`]) above it.  A zero-rate put always
+/// takes the trapezoid entry, which prices it with one European FFT pass.
 pub fn price_american_put(model: &BopmModel, cfg: &EngineConfig) -> f64 {
-    // amopt-lint: allow(float-eq) -- R = 0.0 exactly routes puts to the European fast path; any nonzero rate prices American
-    if model.params().rate == 0.0 {
+    if model.steps() <= T_STAR_BOPM_PUT && !put_is_european(model) {
+        return dense::pooled(|s| {
+            naive::price_with_scratch(model, OptionType::Put, ExerciseStyle::American, s)
+        });
+    }
+    price_american_put_trapezoid(model, cfg)
+}
+
+/// American put price via the left-cone FFT trapezoid decomposition —
+/// `O(T log² T)` work and `O(T)` span, same complexity class as the calls —
+/// at any depth.
+pub fn price_american_put_trapezoid(model: &BopmModel, cfg: &EngineConfig) -> f64 {
+    if put_is_european(model) {
         // With no interest on the strike, early exercise of a put never
         // pays: continuation ≥ K·e^{−RΔt} − S·e^{−YΔt} = K − S·e^{−YΔt}
         // ≥ K − S at every node (the put-side mirror of Merton's Y = 0
@@ -244,9 +289,8 @@ pub fn price_put_with_boundary_samples(
     let t_total = model.steps() as u64;
     let mut samples = Vec::with_capacity(rows + 2);
     samples.push((model.steps(), model.leaf_call_boundary()));
-    // amopt-lint: allow(float-eq) -- R = 0.0 exactly is the no-early-exercise sentinel for puts, not a tolerance check
-    if model.params().rate == 0.0 || t_total == 1 {
-        let price = price_american_put(model, cfg);
+    if put_is_european(model) || t_total == 1 {
+        let price = price_american_put_trapezoid(model, cfg);
         return (price, samples);
     }
     let kernel = model.kernel();
@@ -277,7 +321,7 @@ mod tests {
     fn assert_matches_naive(params: OptionParams, steps: usize, tol: f64) {
         let m = BopmModel::new(params, steps).unwrap();
         let want = naive::price(&m, OptionType::Call, ExerciseStyle::American, ExecMode::Serial);
-        let got = price_american_call(&m, &EngineConfig::default());
+        let got = price_american_call_trapezoid(&m, &EngineConfig::default());
         assert!(
             (got - want).abs() <= tol * want.abs().max(1.0),
             "steps={steps}: fft {got} vs naive {want}"
@@ -333,7 +377,7 @@ mod tests {
         let p = OptionParams { spot: 1.0, strike: 1000.0, ..OptionParams::paper_defaults() };
         let m = BopmModel::new(p, 400).unwrap();
         let want = naive::price(&m, OptionType::Call, ExerciseStyle::American, ExecMode::Serial);
-        let got = price_american_call(&m, &EngineConfig::default());
+        let got = price_american_call_trapezoid(&m, &EngineConfig::default());
         // The true price is astronomically small; premium space recovers it
         // as (δ + green) with δ ≈ −green ≈ K, so the achievable absolute
         // accuracy is ε·K — compare at that scale.
@@ -363,7 +407,7 @@ mod tests {
         assert_matches_naive(p, 777, 1e-9);
         let m = BopmModel::new(p, 777).unwrap();
         let eu = super::price_european_fft(&m, OptionType::Call);
-        let am = price_american_call(&m, &EngineConfig::default());
+        let am = price_american_call_trapezoid(&m, &EngineConfig::default());
         assert_eq!(am, eu);
     }
 
@@ -399,7 +443,7 @@ mod tests {
     fn assert_put_matches_naive(params: OptionParams, steps: usize, tol: f64) {
         let m = BopmModel::new(params, steps).unwrap();
         let want = naive::price(&m, OptionType::Put, ExerciseStyle::American, ExecMode::Serial);
-        let got = price_american_put(&m, &EngineConfig::default());
+        let got = price_american_put_trapezoid(&m, &EngineConfig::default());
         assert!(
             (got - want).abs() <= tol * want.abs().max(1.0),
             "steps={steps}: fft put {got} vs naive {want}"
@@ -449,7 +493,7 @@ mod tests {
         };
         assert_put_matches_naive(p, 64, 1e-9);
         let m = BopmModel::new(p, 64).unwrap();
-        let got = price_american_put(&m, &EngineConfig::default());
+        let got = price_american_put_trapezoid(&m, &EngineConfig::default());
         assert_eq!(got, m.exercise_put(0, 0), "deep ITM put must exercise at once");
     }
 
@@ -458,7 +502,7 @@ mod tests {
         let p = OptionParams { spot: 1000.0, strike: 1.0, ..OptionParams::paper_defaults() };
         let m = BopmModel::new(p, 400).unwrap();
         let want = naive::price(&m, OptionType::Put, ExerciseStyle::American, ExecMode::Serial);
-        let got = price_american_put(&m, &EngineConfig::default());
+        let got = price_american_put_trapezoid(&m, &EngineConfig::default());
         // Absolute accuracy at the FFT's ε·K scale, like the deep-OTM call.
         assert!((got - want).abs() < 1e-12 * p.strike, "fft {got} vs naive {want}");
     }
@@ -469,7 +513,7 @@ mod tests {
         assert_put_matches_naive(p, 777, 1e-9);
         let m = BopmModel::new(p, 777).unwrap();
         let eu = super::price_european_fft(&m, OptionType::Put);
-        let am = price_american_put(&m, &EngineConfig::default());
+        let am = price_american_put_trapezoid(&m, &EngineConfig::default());
         assert_eq!(am, eu);
     }
 

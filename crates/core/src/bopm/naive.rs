@@ -5,6 +5,7 @@
 //! paper's evaluation (Par-bin-ops' QuantLib-equivalent loop nest).
 
 use super::BopmModel;
+use crate::engine::dense;
 use crate::params::{ExerciseStyle, OptionType};
 use amopt_parallel::{for_each_chunk_mut, DEFAULT_GRAIN};
 
@@ -53,9 +54,10 @@ fn price_serial(model: &BopmModel, opt: OptionType, style: ExerciseStyle) -> f64
     price_with_scratch(model, opt, style, &mut Vec::new())
 }
 
-/// [`price`] with [`ExecMode::Serial`], reusing a caller-provided lattice
-/// buffer so repeated pricings (e.g. a batch hot loop or finite-difference
-/// bumps) allocate nothing once the buffer has grown to `T + 1` slots.
+/// [`price`] with [`ExecMode::Serial`], reusing a caller-provided buffer so
+/// repeated pricings (e.g. a batch hot loop or finite-difference bumps)
+/// allocate nothing once it has grown to `T + 1` slots (`3T + 2` for
+/// American exercise, which also holds the exercise tables).
 ///
 /// Bitwise identical to `price(model, opt, style, ExecMode::Serial)`.
 pub fn price_with_scratch(
@@ -64,25 +66,44 @@ pub fn price_with_scratch(
     style: ExerciseStyle,
     scratch: &mut Vec<f64>,
 ) -> f64 {
+    if style == ExerciseStyle::American {
+        return american_dense(model, opt, scratch);
+    }
     let t = model.steps();
     let (s0, s1) = (model.s0(), model.s1());
     fill_leaf_values(model, opt, scratch);
     let g = &mut scratch[..];
     for i in (0..t).rev() {
         // In-place ascending sweep: g[j] is consumed before it is overwritten.
-        match style {
-            ExerciseStyle::European => {
-                for j in 0..=i {
-                    g[j] = s0 * g[j] + s1 * g[j + 1];
-                }
-            }
-            ExerciseStyle::American => {
-                for j in 0..=i {
-                    let cont = s0 * g[j] + s1 * g[j + 1];
-                    g[j] = cont.max(exercise(model, opt, i, j as i64));
-                }
-            }
+        for j in 0..=i {
+            g[j] = s0 * g[j] + s1 * g[j + 1];
         }
+    }
+    g[0]
+}
+
+/// The table-driven American sweep.  Node `(i, j)` carries `S·u^{2j−i}`,
+/// so its exercise value depends only on `2j − i`, whose parity is that of
+/// `T − i`: rows `T` and `T − 1` hold every value once, split by parity,
+/// and row `i` reads the contiguous slice of its parity's table starting
+/// at `(T − i)/2`.
+fn american_dense(model: &BopmModel, opt: OptionType, scratch: &mut Vec<f64>) -> f64 {
+    // amopt-lint: hot-path
+    let t = model.steps();
+    scratch.clear();
+    scratch.extend((0..=t as i64).map(|j| exercise(model, opt, t, j)));
+    scratch.extend((0..t as i64).map(|j| exercise(model, opt, t - 1, j)));
+    scratch.resize(3 * t + 2, 0.0);
+    let (tables, g) = scratch.split_at_mut(2 * t + 1);
+    let (even, odd) = tables.split_at(t + 1);
+    for (leaf, &ex) in g.iter_mut().zip(even.iter()) {
+        *leaf = ex.max(0.0);
+    }
+    let w = [model.s0(), model.s1()];
+    for i in (0..t).rev() {
+        let off = (t - i) / 2;
+        let table = if (t - i).is_multiple_of(2) { even } else { odd };
+        dense::american_row(w, g, &table[off..=off + i]);
     }
     g[0]
 }

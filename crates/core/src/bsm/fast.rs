@@ -1,8 +1,15 @@
 //! The paper's fast BSM pricer: American put in `O(T log² T)` work and
 //! `O(T)` span via the centered nonlinear-stencil engine (§4.3).
+//!
+//! The public [`price_american_put`] runs this engine only above
+//! the measured crossover depth `T*` of [`crate::engine::dense`]; at or
+//! below it they run the table-driven dense sweep of [`super::naive`].
+//! [`price_american_put_trapezoid`] runs the engine at every depth.
 
+use super::naive::{self, Style};
 use super::BsmModel;
 use crate::engine::centered::{advance_green_left, GreenLeftRow};
+use crate::engine::dense::{self, T_STAR_BSM_PUT};
 use crate::engine::EngineConfig;
 use amopt_stencil::{advance, Segment};
 
@@ -17,9 +24,20 @@ fn expiry_row(model: &BsmModel) -> GreenLeftRow {
     GreenLeftRow { t: 0, boundary: f, hi: t, reds: Segment::new(f + 1, reds) }
 }
 
-/// American put price via the FFT trapezoid decomposition
-/// (`fft-bsm` in the paper's plots).
+/// American put price: the table-driven dense sweep at or below
+/// [`T_STAR_BSM_PUT`] steps, the centered engine
+/// ([`price_american_put_trapezoid`]) above it.
 pub fn price_american_put(model: &BsmModel, cfg: &EngineConfig) -> f64 {
+    if model.steps() <= T_STAR_BSM_PUT {
+        let apex = dense::pooled(|s| naive::apex_value_with_scratch(model, Style::American, s));
+        return model.params().strike * apex;
+    }
+    price_american_put_trapezoid(model, cfg)
+}
+
+/// American put price via the FFT trapezoid decomposition
+/// (`fft-bsm` in the paper's plots), at any depth.
+pub fn price_american_put_trapezoid(model: &BsmModel, cfg: &EngineConfig) -> f64 {
     let strike = model.params().strike;
     let t = model.steps() as i64;
     let f0 = model.expiry_boundary();
@@ -71,7 +89,7 @@ pub fn price_with_boundary_samples(
     let f0 = model.expiry_boundary();
     let mut samples = vec![(0usize, f0)];
     if f0 >= t as i64 || f0 < -(t as i64) {
-        return (price_american_put(model, cfg), samples);
+        return (price_american_put_trapezoid(model, cfg), samples);
     }
     let green = |_t: u64, k: i64| model.exercise(k);
     let kernel = model.kernel();
@@ -98,7 +116,7 @@ mod tests {
     fn assert_matches_naive(p: OptionParams, steps: usize, tol: f64) {
         let m = BsmModel::new(p, steps).unwrap();
         let want = naive::price_american_put(&m, ExecMode::Serial);
-        let got = price_american_put(&m, &EngineConfig::default());
+        let got = price_american_put_trapezoid(&m, &EngineConfig::default());
         assert!(
             (got - want).abs() <= tol * want.abs().max(1.0),
             "steps={steps}: fft {got} vs naive {want}"
@@ -145,7 +163,7 @@ mod tests {
         let p = params();
         let steps = 4000;
         let m = BsmModel::new(p, steps).unwrap();
-        let fd = price_american_put(&m, &EngineConfig::default());
+        let fd = price_american_put_trapezoid(&m, &EngineConfig::default());
         let lattice = crate::bopm::BopmModel::new(p, steps).unwrap();
         let bin = crate::bopm::naive::price(
             &lattice,
@@ -159,7 +177,7 @@ mod tests {
     #[test]
     fn american_exceeds_european_and_intrinsic() {
         let m = BsmModel::new(params(), 2048).unwrap();
-        let am = price_american_put(&m, &EngineConfig::default());
+        let am = price_american_put_trapezoid(&m, &EngineConfig::default());
         let eu = price_european_put_fft(&m);
         let intrinsic = (m.params().strike - m.params().spot).max(0.0);
         assert!(am >= eu - 1e-9);

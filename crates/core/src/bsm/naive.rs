@@ -2,6 +2,7 @@
 //! the paper's evaluation.  `Θ(T²)` work.
 
 use super::BsmModel;
+use crate::engine::dense;
 use amopt_parallel::{for_each_chunk_mut, DEFAULT_GRAIN};
 
 /// Execution strategy for the sweep.
@@ -54,54 +55,75 @@ pub fn apex_call_value(model: &BsmModel, style: Style, mode: ExecMode) -> f64 {
     sweep(model, Side::Call, style, mode)
 }
 
+/// [`apex_value`] with [`ExecMode::Serial`], reusing a caller-provided
+/// buffer so repeated pricings allocate nothing once it has grown to
+/// `4T + 2` slots (the exercise table plus the lattice row).
+///
+/// Bitwise identical to `apex_value(model, style, ExecMode::Serial)`.
+pub fn apex_value_with_scratch(model: &BsmModel, style: Style, scratch: &mut Vec<f64>) -> f64 {
+    sweep_serial(model, Side::Put, style, scratch)
+}
+
+/// The table-driven serial sweep.  The exercise value of column `k` does
+/// not depend on the row, so one table over the expiry row's columns
+/// `[−T, T]` serves every row: row `n` (half-width `T − n`) reads the
+/// contiguous slice `[n, 2T − n]`, and relaxes in place — output cell `p`
+/// reads input cells `p, p+1, p+2`, none of them overwritten yet.
+fn sweep_serial(model: &BsmModel, side: Side, style: Style, scratch: &mut Vec<f64>) -> f64 {
+    // amopt-lint: hot-path
+    let t = model.steps();
+    scratch.clear();
+    scratch.extend((-(t as i64)..=t as i64).map(|k| side.exercise(model, k)));
+    scratch.resize(4 * t + 2, 0.0);
+    let (table, g) = scratch.split_at_mut(2 * t + 1);
+    for (leaf, &ex) in g.iter_mut().zip(table.iter()) {
+        *leaf = ex.max(0.0);
+    }
+    let (wb, wc, wa) = model.weights();
+    for n in 1..=t {
+        match style {
+            Style::European => {
+                for p in 0..=2 * (t - n) {
+                    g[p] = wb * g[p] + wc * g[p + 1] + wa * g[p + 2];
+                }
+            }
+            Style::American => dense::american_row([wb, wc, wa], g, &table[n..=2 * t - n]),
+        }
+    }
+    g[0]
+}
+
 fn sweep(model: &BsmModel, side: Side, style: Style, mode: ExecMode) -> f64 {
+    if mode == ExecMode::Serial {
+        return sweep_serial(model, side, style, &mut Vec::new());
+    }
     let t = model.steps() as i64;
     // Row n spans columns [−(T−n), T−n]; store at index k + (T−n).
     let mut cur: Vec<f64> = (-t..=t).map(|k| side.exercise(model, k).max(0.0)).collect();
     let (wb, wc, wa) = model.weights();
-    match mode {
-        ExecMode::Serial => {
-            for n in 1..=t {
-                let half = t - n; // output row half-width
-                let mut next = Vec::with_capacity((2 * half + 1) as usize);
-                for k in -half..=half {
-                    // input row index of column k: k + (half + 1)
-                    let idx = (k + half + 1) as usize;
-                    let lin = wb * cur[idx - 1] + wc * cur[idx] + wa * cur[idx + 1];
-                    next.push(match style {
+    let mut next = vec![0.0; cur.len()];
+    for n in 1..=t {
+        let half = t - n;
+        let width = (2 * half + 1) as usize;
+        {
+            let read: &[f64] = &cur;
+            for_each_chunk_mut(&mut next[..width], DEFAULT_GRAIN, |offset, chunk| {
+                for (i, out) in chunk.iter_mut().enumerate() {
+                    let pos = offset + i; // 0-based in output row
+                    let k = pos as i64 - half;
+                    let idx = pos + 1; // same column in input row
+                    let lin = wb * read[idx - 1] + wc * read[idx] + wa * read[idx + 1];
+                    *out = match style {
                         Style::European => lin,
                         Style::American => lin.max(side.exercise(model, k)),
-                    });
+                    };
                 }
-                cur = next;
-            }
+            });
         }
-        ExecMode::Parallel => {
-            let mut next = vec![0.0; cur.len()];
-            for n in 1..=t {
-                let half = t - n;
-                let width = (2 * half + 1) as usize;
-                {
-                    let read: &[f64] = &cur;
-                    for_each_chunk_mut(&mut next[..width], DEFAULT_GRAIN, |offset, chunk| {
-                        for (i, out) in chunk.iter_mut().enumerate() {
-                            let pos = offset + i; // 0-based in output row
-                            let k = pos as i64 - half;
-                            let idx = pos + 1; // same column in input row
-                            let lin = wb * read[idx - 1] + wc * read[idx] + wa * read[idx + 1];
-                            *out = match style {
-                                Style::European => lin,
-                                Style::American => lin.max(side.exercise(model, k)),
-                            };
-                        }
-                    });
-                }
-                std::mem::swap(&mut cur, &mut next);
-                next.truncate(width);
-                cur.truncate(width);
-                next.resize(width, 0.0);
-            }
-        }
+        std::mem::swap(&mut cur, &mut next);
+        next.truncate(width);
+        cur.truncate(width);
+        next.resize(width, 0.0);
     }
     cur[0]
 }

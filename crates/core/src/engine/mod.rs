@@ -17,6 +17,10 @@
 //! * [`centered`]: symmetric 3-point kernel, green region on the *left*,
 //!   boundary drifts left — the BSM explicit finite difference (§4.3).
 //!
+//! Below a measured depth `T*` per (model, option type) the public fast
+//! pricers skip the engines altogether: [`dense`] holds the crossovers and
+//! the row kernel of the table-driven `Θ(T²)` sweep they run instead.
+//!
 //! All three advance a compressed row representation ([`RedRow`] /
 //! [`left_cone::GreenPrefixRow`] / [`centered::GreenLeftRow`]) by `h` steps
 //! in `O(h log² h)` work and `O(h)` span, calling the linear FFT advance of
@@ -27,6 +31,7 @@
 //! values are bounded by the strike.
 
 pub mod centered;
+pub mod dense;
 pub mod left_cone;
 pub mod right_cone;
 

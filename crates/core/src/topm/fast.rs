@@ -6,13 +6,19 @@
 //! [`crate::bopm::fast`]: row `T−1` is materialised from the payoff closed
 //! form with a bracketed boundary search, and `Y = 0` short-circuits to the
 //! European FFT pass.
+//!
+//! The public `price_american_*` entry points run these engines only above
+//! the measured crossover depth `T*` of [`crate::engine::dense`]; at or
+//! below it they run the table-driven dense sweep of [`super::naive`].
+//! The `*_trapezoid` entry points run the engines at every depth.
 
 use super::european::price_european_fft;
-use super::TopmModel;
+use super::{naive, TopmModel};
+use crate::engine::dense::{self, T_STAR_TOPM_CALL, T_STAR_TOPM_PUT};
 use crate::engine::left_cone::{self, GreenPrefixRow};
 use crate::engine::right_cone::{advance_red_row, solve_to_root};
 use crate::engine::{EngineConfig, ExpObstacle, RedRow};
-use crate::params::OptionType;
+use crate::params::{ExerciseStyle, OptionType};
 use amopt_stencil::Segment;
 
 /// Obstacle spec for the American call: `green(t, c) = φ(t, c) − K` with
@@ -83,11 +89,38 @@ fn first_step_row(model: &TopmModel) -> RedRow {
     RedRow { t: 1, reds: Segment::new(0, premiums), boundary: lo }
 }
 
-/// American call price via the FFT trapezoid decomposition
-/// (`fft-topm` in the paper's plots).
+/// Merton: with `Y = 0` early exercise of a call never pays, so the
+/// American call is the European one and the trapezoid entry prices it with
+/// a single European FFT pass.
+fn call_is_european(model: &TopmModel) -> bool {
+    // amopt-lint: allow(float-eq) -- Y = 0.0 exactly is the Merton sentinel, not a tolerance check; any nonzero yield prices American
+    model.params().dividend_yield == 0.0
+}
+
+/// The put-side mirror: with `R = 0` early exercise of a put never pays.
+fn put_is_european(model: &TopmModel) -> bool {
+    // amopt-lint: allow(float-eq) -- R = 0.0 exactly is the no-early-exercise sentinel for puts, not a tolerance check; any nonzero rate prices American
+    model.params().rate == 0.0
+}
+
+/// American call price: the table-driven dense kernel at or below
+/// [`T_STAR_TOPM_CALL`] steps, the FFT trapezoid engine
+/// ([`price_american_call_trapezoid`]) above it.  A zero-yield call always
+/// takes the trapezoid entry, which prices it with one European FFT pass
+/// (Merton) — cheaper than the dense sweep once `T` passes about 1000.
 pub fn price_american_call(model: &TopmModel, cfg: &EngineConfig) -> f64 {
-    // amopt-lint: allow(float-eq) -- Y = 0.0 exactly routes calls to the European fast path (Merton); any nonzero yield prices American
-    if model.params().dividend_yield == 0.0 {
+    if model.steps() <= T_STAR_TOPM_CALL && !call_is_european(model) {
+        return dense::pooled(|s| {
+            naive::price_with_scratch(model, OptionType::Call, ExerciseStyle::American, s)
+        });
+    }
+    price_american_call_trapezoid(model, cfg)
+}
+
+/// American call price via the FFT trapezoid decomposition
+/// (`fft-topm` in the paper's plots), at any depth.
+pub fn price_american_call_trapezoid(model: &TopmModel, cfg: &EngineConfig) -> f64 {
+    if call_is_european(model) {
         return price_european_fft(model, OptionType::Call);
     }
     let t_total = model.steps() as u64;
@@ -116,9 +149,8 @@ pub fn price_with_boundary_samples(
     let t_total = model.steps() as u64;
     let mut samples = Vec::with_capacity(rows + 2);
     samples.push((model.steps(), model.leaf_call_boundary()));
-    // amopt-lint: allow(float-eq) -- Y = 0.0 exactly is the Merton no-dividend sentinel, not a tolerance check
-    if model.params().dividend_yield == 0.0 || t_total == 1 {
-        let price = price_american_call(model, cfg);
+    if call_is_european(model) || t_total == 1 {
+        let price = price_american_call_trapezoid(model, cfg);
         return (price, samples);
     }
     let kernel = model.kernel();
@@ -183,11 +215,23 @@ fn first_step_put_row(model: &TopmModel) -> GreenPrefixRow {
     GreenPrefixRow { t: 1, boundary: lo, hi: row_hi, reds: Segment::new(lo + 1, values) }
 }
 
-/// American put price via the left-cone FFT trapezoid decomposition —
-/// `O(T log² T)` work and `O(T)` span.
+/// American put price: the table-driven dense kernel at or below
+/// [`T_STAR_TOPM_PUT`] steps, the left-cone engine
+/// ([`price_american_put_trapezoid`]) above it.  A zero-rate put always
+/// takes the trapezoid entry, which prices it with one European FFT pass.
 pub fn price_american_put(model: &TopmModel, cfg: &EngineConfig) -> f64 {
-    // amopt-lint: allow(float-eq) -- R = 0.0 exactly routes puts to the European fast path; any nonzero rate prices American
-    if model.params().rate == 0.0 {
+    if model.steps() <= T_STAR_TOPM_PUT && !put_is_european(model) {
+        return dense::pooled(|s| {
+            naive::price_with_scratch(model, OptionType::Put, ExerciseStyle::American, s)
+        });
+    }
+    price_american_put_trapezoid(model, cfg)
+}
+
+/// American put price via the left-cone FFT trapezoid decomposition —
+/// `O(T log² T)` work and `O(T)` span — at any depth.
+pub fn price_american_put_trapezoid(model: &TopmModel, cfg: &EngineConfig) -> f64 {
+    if put_is_european(model) {
         // Zero rate ⇒ no early-exercise premium for puts (continuation
         // ≥ K·e^{−RΔt} − φ·e^{−YΔt} = K − φ·e^{−YΔt} ≥ K − φ node by node).
         return price_european_fft(model, OptionType::Put);
@@ -217,9 +261,8 @@ pub fn price_put_with_boundary_samples(
     let t_total = model.steps() as u64;
     let mut samples = Vec::with_capacity(rows + 2);
     samples.push((model.steps(), model.leaf_call_boundary()));
-    // amopt-lint: allow(float-eq) -- R = 0.0 exactly is the no-early-exercise sentinel for puts, not a tolerance check
-    if model.params().rate == 0.0 || t_total == 1 {
-        let price = price_american_put(model, cfg);
+    if put_is_european(model) || t_total == 1 {
+        let price = price_american_put_trapezoid(model, cfg);
         return (price, samples);
     }
     let kernel = model.kernel();
@@ -250,7 +293,7 @@ mod tests {
     fn assert_matches_naive(params: OptionParams, steps: usize, tol: f64) {
         let m = TopmModel::new(params, steps).unwrap();
         let want = naive::price(&m, OptionType::Call, ExerciseStyle::American, ExecMode::Serial);
-        let got = price_american_call(&m, &EngineConfig::default());
+        let got = price_american_call_trapezoid(&m, &EngineConfig::default());
         assert!(
             (got - want).abs() <= tol * want.abs().max(1.0),
             "steps={steps}: fft {got} vs naive {want}"
@@ -310,7 +353,7 @@ mod tests {
     fn assert_put_matches_naive(params: OptionParams, steps: usize, tol: f64) {
         let m = TopmModel::new(params, steps).unwrap();
         let want = naive::price(&m, OptionType::Put, ExerciseStyle::American, ExecMode::Serial);
-        let got = price_american_put(&m, &EngineConfig::default());
+        let got = price_american_put_trapezoid(&m, &EngineConfig::default());
         assert!(
             (got - want).abs() <= tol * want.abs().max(1.0),
             "steps={steps}: fft put {got} vs naive {want}"
@@ -354,7 +397,7 @@ mod tests {
         assert_put_matches_naive(p, 600, 1e-9);
         let m = TopmModel::new(p, 600).unwrap();
         assert_eq!(
-            price_american_put(&m, &EngineConfig::default()),
+            price_american_put_trapezoid(&m, &EngineConfig::default()),
             super::price_european_fft(&m, OptionType::Put)
         );
     }
@@ -461,12 +504,12 @@ mod tests {
         let y0 = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
         let m = TopmModel::new(y0, 300).unwrap();
         let (p, s) = price_with_boundary_samples(&m, &cfg, 8);
-        assert_eq!(p.to_bits(), price_american_call(&m, &cfg).to_bits());
+        assert_eq!(p.to_bits(), price_american_call_trapezoid(&m, &cfg).to_bits());
         assert_eq!(s.len(), 1);
         let r0 = OptionParams { rate: 0.0, ..OptionParams::paper_defaults() };
         let m = TopmModel::new(r0, 300).unwrap();
         let (p, s) = price_put_with_boundary_samples(&m, &cfg, 8);
-        assert_eq!(p.to_bits(), price_american_put(&m, &cfg).to_bits());
+        assert_eq!(p.to_bits(), price_american_put_trapezoid(&m, &cfg).to_bits());
         assert_eq!(s.len(), 1);
     }
 
@@ -475,8 +518,8 @@ mod tests {
         let p = OptionParams::paper_defaults();
         let tri = TopmModel::new(p, 2000).unwrap();
         let bin = crate::bopm::BopmModel::new(p, 2000).unwrap();
-        let v_tri = price_american_put(&tri, &EngineConfig::default());
-        let v_bin = crate::bopm::fast::price_american_put(&bin, &EngineConfig::default());
+        let v_tri = price_american_put_trapezoid(&tri, &EngineConfig::default());
+        let v_bin = crate::bopm::fast::price_american_put_trapezoid(&bin, &EngineConfig::default());
         assert!((v_tri - v_bin).abs() < 5e-3 * v_bin.max(1.0), "tri {v_tri} vs bin {v_bin}");
     }
 
@@ -487,8 +530,9 @@ mod tests {
         let p = OptionParams::paper_defaults();
         let tri = TopmModel::new(p, 2000).unwrap();
         let bin = crate::bopm::BopmModel::new(p, 2000).unwrap();
-        let v_tri = price_american_call(&tri, &EngineConfig::default());
-        let v_bin = crate::bopm::fast::price_american_call(&bin, &EngineConfig::default());
+        let v_tri = price_american_call_trapezoid(&tri, &EngineConfig::default());
+        let v_bin =
+            crate::bopm::fast::price_american_call_trapezoid(&bin, &EngineConfig::default());
         assert!((v_tri - v_bin).abs() < 5e-3 * v_bin, "tri {v_tri} vs bin {v_bin}");
     }
 }

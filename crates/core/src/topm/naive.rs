@@ -2,6 +2,7 @@
 //! evaluation.  `Θ(T²)` work (the grid has `2i+1` cells in row `i`).
 
 use super::TopmModel;
+use crate::engine::dense;
 use crate::params::{ExerciseStyle, OptionType};
 use amopt_parallel::{for_each_chunk_mut, DEFAULT_GRAIN};
 
@@ -49,27 +50,47 @@ fn price_serial(model: &TopmModel, opt: OptionType, style: ExerciseStyle) -> f64
     price_with_scratch(model, opt, style, &mut Vec::new())
 }
 
-/// [`price`] with [`ExecMode::Serial`], reusing a caller-provided lattice
-/// buffer so repeated pricings allocate nothing once the buffer has grown to
-/// `2T + 1` slots.  Bitwise identical to the serial [`price`].
+/// [`price`] with [`ExecMode::Serial`], reusing a caller-provided buffer so
+/// repeated pricings allocate nothing once it has grown to `2T + 1` slots
+/// (`4T + 2` for American exercise, which also holds the exercise table).
+/// Bitwise identical to the serial [`price`].
 pub fn price_with_scratch(
     model: &TopmModel,
     opt: OptionType,
     style: ExerciseStyle,
     scratch: &mut Vec<f64>,
 ) -> f64 {
+    if style == ExerciseStyle::American {
+        return american_dense(model, opt, scratch);
+    }
     let t = model.steps();
     let (s0, s1, s2) = model.weights();
     fill_leaf_values(model, opt, scratch);
     let g = &mut scratch[..];
     for i in (0..t).rev() {
         for j in 0..=2 * i {
-            let cont = s0 * g[j] + s1 * g[j + 1] + s2 * g[j + 2];
-            g[j] = match style {
-                ExerciseStyle::European => cont,
-                ExerciseStyle::American => cont.max(exercise(model, opt, i, j as i64)),
-            };
+            g[j] = s0 * g[j] + s1 * g[j + 1] + s2 * g[j + 2];
         }
+    }
+    g[0]
+}
+
+/// The table-driven American sweep.  Node `(i, j)` carries `S·u^{j−i}`, so
+/// the expiry row's exercise values are every row's: row `i` reads the
+/// contiguous slice starting at column `T − i`.
+fn american_dense(model: &TopmModel, opt: OptionType, scratch: &mut Vec<f64>) -> f64 {
+    // amopt-lint: hot-path
+    let t = model.steps();
+    scratch.clear();
+    scratch.extend((0..=2 * t as i64).map(|j| exercise(model, opt, t, j)));
+    scratch.resize(4 * t + 2, 0.0);
+    let (table, g) = scratch.split_at_mut(2 * t + 1);
+    for (leaf, &ex) in g.iter_mut().zip(table.iter()) {
+        *leaf = ex.max(0.0);
+    }
+    let (s0, s1, s2) = model.weights();
+    for i in (0..t).rev() {
+        dense::american_row([s0, s1, s2], g, &table[t - i..=t + i]);
     }
     g[0]
 }

@@ -14,7 +14,7 @@ fn bopm_implementations_agree_at_multiple_sizes() {
     let cfg = EngineConfig::default();
     for steps in [64usize, 257, 1024, 4096] {
         let m = BopmModel::new(paper(), steps).unwrap();
-        let fast = bopm_fast::price_american_call(&m, &cfg);
+        let fast = bopm_fast::price_american_call_trapezoid(&m, &cfg);
         let serial = bopm_naive::price(
             &m,
             OptionType::Call,
@@ -106,10 +106,10 @@ fn price_is_monotone_in_contract_parameters() {
 #[test]
 fn engine_base_cutoff_is_a_pure_performance_knob() {
     let m = BopmModel::new(paper(), 2000).unwrap();
-    let reference = bopm_fast::price_american_call(&m, &EngineConfig::default());
+    let reference = bopm_fast::price_american_call_trapezoid(&m, &EngineConfig::default());
     for cutoff in [1u64, 3, 16, 64, 256] {
         let cfg = EngineConfig { base_cutoff: cutoff, ..EngineConfig::default() };
-        let v = bopm_fast::price_american_call(&m, &cfg);
+        let v = bopm_fast::price_american_call_trapezoid(&m, &cfg);
         assert!((v - reference).abs() < 1e-9 * reference, "cutoff={cutoff}");
     }
 }

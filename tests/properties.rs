@@ -1,6 +1,8 @@
 //! Property-based tests: the fast pricers must agree with the naive
 //! references for *arbitrary* admissible market parameters, and the core
-//! invariants must hold across the whole parameter space.
+//! invariants must hold across the whole parameter space.  The fast ≡ naive
+//! checks call the `*_trapezoid` entry points: below `T*` the public fast
+//! pricers run the dense loop itself, which would compare it with itself.
 
 use american_option_pricing::prelude::*;
 use proptest::prelude::*;
@@ -31,7 +33,7 @@ proptest! {
     fn bopm_fast_matches_naive_on_random_params(p in arb_params(), steps in 16usize..600) {
         prop_assume!(BopmModel::new(p, steps).is_ok());
         let m = BopmModel::new(p, steps).unwrap();
-        let fast = bopm_fast::price_american_call(&m, &EngineConfig::default());
+        let fast = bopm_fast::price_american_call_trapezoid(&m, &EngineConfig::default());
         let naive = bopm_naive::price(
             &m, OptionType::Call, ExerciseStyle::American, bopm_naive::ExecMode::Serial);
         prop_assert!(
@@ -44,7 +46,7 @@ proptest! {
     fn topm_fast_matches_naive_on_random_params(p in arb_params(), steps in 16usize..400) {
         prop_assume!(TopmModel::new(p, steps).is_ok());
         let m = TopmModel::new(p, steps).unwrap();
-        let fast = topm_fast::price_american_call(&m, &EngineConfig::default());
+        let fast = topm_fast::price_american_call_trapezoid(&m, &EngineConfig::default());
         let naive = topm_naive::price(
             &m, OptionType::Call, ExerciseStyle::American, topm_naive::ExecMode::Serial);
         prop_assert!(
@@ -58,7 +60,7 @@ proptest! {
         let p = OptionParams { dividend_yield: 0.0, ..p };
         prop_assume!(BsmModel::new(p, steps).is_ok());
         let m = BsmModel::new(p, steps).unwrap();
-        let fast = bsm_fast::price_american_put(&m, &EngineConfig::default());
+        let fast = bsm_fast::price_american_put_trapezoid(&m, &EngineConfig::default());
         let naive = bsm_naive::price_american_put(&m, bsm_naive::ExecMode::Serial);
         prop_assert!(
             (fast - naive).abs() < 1e-8 * naive.abs().max(1.0) + 1e-12 * p.strike,

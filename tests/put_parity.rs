@@ -1,7 +1,10 @@
 //! Property tests for the fast American puts (left-cone engine): naive-loop
 //! equivalence across a randomized parameter grid, the discrete put–call
-//! symmetry, boundary monotonicity, and batch-of-one bitwise identity.
+//! symmetry, boundary monotonicity, and batch-of-one bitwise identity.  The
+//! engine checks call the `*_trapezoid` entry points, which run the engines
+//! at every depth; the public pricers run the dense loop below `T*`.
 
+use american_option_pricing::core::engine::dense;
 use american_option_pricing::prelude::*;
 use proptest::prelude::*;
 
@@ -31,7 +34,7 @@ proptest! {
     fn bopm_fast_put_matches_naive_on_random_params(p in arb_params(), steps in 16usize..600) {
         prop_assume!(BopmModel::new(p, steps).is_ok());
         let m = BopmModel::new(p, steps).unwrap();
-        let fast = bopm_fast::price_american_put(&m, &EngineConfig::default());
+        let fast = bopm_fast::price_american_put_trapezoid(&m, &EngineConfig::default());
         let naive = bopm_naive::price(
             &m, OptionType::Put, ExerciseStyle::American, bopm_naive::ExecMode::Serial);
         prop_assert!(
@@ -44,7 +47,7 @@ proptest! {
     fn topm_fast_put_matches_naive_on_random_params(p in arb_params(), steps in 16usize..400) {
         prop_assume!(TopmModel::new(p, steps).is_ok());
         let m = TopmModel::new(p, steps).unwrap();
-        let fast = topm_fast::price_american_put(&m, &EngineConfig::default());
+        let fast = topm_fast::price_american_put_trapezoid(&m, &EngineConfig::default());
         let naive = topm_naive::price(
             &m, OptionType::Put, ExerciseStyle::American, topm_naive::ExecMode::Serial);
         prop_assert!(
@@ -71,8 +74,8 @@ proptest! {
         let put_m = BopmModel::new(p, steps).unwrap();
         let call_m = BopmModel::new(mirrored, steps).unwrap();
         let cfg = EngineConfig::default();
-        let put = bopm_fast::price_american_put(&put_m, &cfg);
-        let call = bopm_fast::price_american_call(&call_m, &cfg);
+        let put = bopm_fast::price_american_put_trapezoid(&put_m, &cfg);
+        let call = bopm_fast::price_american_call_trapezoid(&call_m, &cfg);
         prop_assert!(
             (put - call).abs() < 1e-8 * call.abs().max(1.0) + 1e-11 * p.strike.max(p.spot),
             "put {} vs mirrored call {}", put, call
@@ -140,15 +143,16 @@ fn put_call_symmetry_at_depth() {
         ..p
     };
     let cfg = EngineConfig::default();
-    let put = bopm_fast::price_american_put(&BopmModel::new(p, 8192).unwrap(), &cfg);
-    let call = bopm_fast::price_american_call(&BopmModel::new(mirrored, 8192).unwrap(), &cfg);
+    let put = bopm_fast::price_american_put_trapezoid(&BopmModel::new(p, 8192).unwrap(), &cfg);
+    let call =
+        bopm_fast::price_american_call_trapezoid(&BopmModel::new(mirrored, 8192).unwrap(), &cfg);
     assert!((put - call).abs() < 1e-8 * call.max(1.0), "put {put} vs mirrored call {call}");
 }
 
-/// The batch layer routes American puts through the fast engines — assert
-/// the route is genuinely the left-cone pricer, not the Θ(T²) loop nest,
-/// by checking bitwise identity against the fast path (which differs from
-/// the naive path in the last few ulps).
+/// The batch layer routes American puts through the public fast pricer —
+/// bitwise its result, which below `T*` is the dense loop and above it the
+/// left-cone engine (the engine differs from the loop in the last few ulps,
+/// so bitwise identity pins which one ran).
 #[test]
 fn batch_put_route_is_the_fast_engine() {
     let p = OptionParams::paper_defaults();
@@ -160,6 +164,15 @@ fn batch_put_route_is_the_fast_engine() {
     let fast =
         bopm_fast::price_american_put(&BopmModel::new(p, steps).unwrap(), &EngineConfig::default());
     assert_eq!(got.to_bits(), fast.to_bits());
+    let deep = dense::T_STAR_BOPM_PUT + 1;
+    let engine = bopm_fast::price_american_put_trapezoid(
+        &BopmModel::new(p, deep).unwrap(),
+        &EngineConfig::default(),
+    );
+    let routed = pricer
+        .price_one(&PricingRequest::american(ModelKind::Bopm, OptionType::Put, p, deep))
+        .unwrap();
+    assert_eq!(routed.to_bits(), engine.to_bits(), "above T* the batch runs the engine");
     // Keep the naive nest as the numerical oracle for the same contract.
     let naive = bopm_naive::price(
         &BopmModel::new(p, steps).unwrap(),
