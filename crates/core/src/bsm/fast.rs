@@ -1,31 +1,53 @@
 //! The paper's fast BSM pricer: American put in `O(T log² T)` work and
-//! `O(T)` span via the centered nonlinear-stencil engine (§4.3).
+//! `O(T)` span on the left-cone nonlinear-stencil engine (§4.3).
+//!
+//! The explicit scheme's grid row `n` (steps from expiry) spans the centred
+//! columns `k ∈ [−(T−n), T−n]`.  In the shifted columns `c = k + (T − n)`
+//! the row becomes `[0, 2(T−n)]`, the apex sits at column 0, and the
+//! 3-point kernel `[b, c, a]` on `(k−1, k, k+1)` becomes an anchor-0,
+//! span-2 kernel on `(c, c+1, c+2)` — the TOPM put's geometry.  Thm 4.3's
+//! drift `f_k − 1 ≤ f_{k,n+1} ≤ f_k` becomes a left move of one to two
+//! columns per step, within the engine's bound of the kernel span, and the
+//! out-of-the-money payoff (exactly 0) is the engine's implicit zero tail.
+//! Unlike the lattice puts, the bound holds from expiry on, so the engine
+//! starts from the expiry row itself.
 //!
 //! The public [`price_american_put`] runs this engine only above
 //! the measured crossover depth `T*` of [`crate::engine::dense`]; at or
-//! below it they run the table-driven dense sweep of [`super::naive`].
+//! below it, it runs the table-driven dense sweep of [`super::naive`].
 //! [`price_american_put_trapezoid`] runs the engine at every depth.
 
 use super::naive::{self, Style};
 use super::BsmModel;
-use crate::engine::centered::{advance_green_left, GreenLeftRow};
 use crate::engine::dense::{self, T_STAR_BSM_PUT};
+use crate::engine::left_cone::{self, GreenPrefixRow};
 use crate::engine::EngineConfig;
-use amopt_stencil::{advance, Segment};
+use amopt_stencil::{advance, Segment, StencilKernel};
 
-/// Builds the expiry row in compressed green-left form.
-///
-/// Red cells at expiry are the out-of-the-money columns (`s_k > 0`), whose
-/// payoff is exactly zero.
-fn expiry_row(model: &BsmModel) -> GreenLeftRow {
-    let t = model.steps() as i64;
-    let f = model.expiry_boundary().clamp(-t - 1, t);
-    let reds = vec![0.0; (t - f).max(0) as usize];
-    GreenLeftRow { t: 0, boundary: f, hi: t, reds: Segment::new(f + 1, reds) }
+/// The scheme's kernel in shifted columns: `[b, c, a]` anchored at 0.
+fn shifted_kernel(model: &BsmModel) -> StencilKernel {
+    let (b, c, a) = model.weights();
+    StencilKernel::new(vec![b, c, a], 0)
+}
+
+/// Obstacle in the columns `c = k + (m − t)`: `green(t, c) = 1 − e^{s_k}`.
+fn shifted_green(model: &BsmModel, m: i64) -> impl Fn(u64, i64) -> f64 + Sync + '_ {
+    move |t: u64, c: i64| model.exercise(c - (m - t as i64))
+}
+
+/// The expiry row in the columns `c = k + m` (`m ≥ T`), whose cone ends at
+/// the apex column `m − T`: the exercise region ends at the expiry boundary
+/// `f₀`, clamped to the row (`−1`: no green in view, `hi`: all green).
+/// Every out-of-the-money payoff is an exact zero, so no red value is
+/// stored.
+fn expiry_row(model: &BsmModel, m: i64) -> GreenPrefixRow {
+    let hi = m + model.steps() as i64;
+    let boundary = (model.expiry_boundary() + m).clamp(-1, hi);
+    GreenPrefixRow { t: 0, boundary, hi, reds: Segment::new(boundary + 1, vec![]) }
 }
 
 /// American put price: the table-driven dense sweep at or below
-/// [`T_STAR_BSM_PUT`] steps, the centered engine
+/// [`T_STAR_BSM_PUT`] steps, the left-cone engine
 /// ([`price_american_put_trapezoid`]) above it.
 pub fn price_american_put(model: &BsmModel, cfg: &EngineConfig) -> f64 {
     if model.steps() <= T_STAR_BSM_PUT {
@@ -38,29 +60,16 @@ pub fn price_american_put(model: &BsmModel, cfg: &EngineConfig) -> f64 {
 /// American put price via the FFT trapezoid decomposition
 /// (`fft-bsm` in the paper's plots), at any depth.
 pub fn price_american_put_trapezoid(model: &BsmModel, cfg: &EngineConfig) -> f64 {
-    let strike = model.params().strike;
     let t = model.steps() as i64;
-    let f0 = model.expiry_boundary();
-    if f0 >= t {
-        // Green covers the whole cone now and forever (the green/cone gap
-        // never shrinks): immediate exercise at the apex.
-        return strike * model.exercise(0);
-    }
-    if f0 < -t {
-        // No green cell in the apex's dependency cone: the obstacle never
-        // binds and the scheme is purely linear — one FFT pass (this is the
-        // European put on this grid).
-        let payoff: Vec<f64> = (-t..=t).map(|k| model.payoff(k)).collect();
-        let out = advance(&Segment::new(-t, payoff), &model.kernel(), t as u64, cfg.backend);
-        debug_assert_eq!(out.start, 0);
-        debug_assert_eq!(out.len(), 1);
-        return strike * out.values[0];
-    }
-    let row = expiry_row(model);
-    let green = |_t: u64, k: i64| model.exercise(k);
-    let out = advance_green_left(&model.kernel(), &green, &row, t as u64, cfg);
-    debug_assert_eq!(out.hi, 0);
-    strike * out.value_at(&green, 0)
+    let green = shifted_green(model, t);
+    let apex = left_cone::solve_to_root(
+        &shifted_kernel(model),
+        &green,
+        expiry_row(model, t),
+        t as u64,
+        cfg,
+    );
+    model.params().strike * apex
 }
 
 /// European put under the same discretisation, `O(T log T)` (single FFT).
@@ -78,29 +87,32 @@ pub fn price_european_put_fft(model: &BsmModel) -> f64 {
 
 /// American put price plus green-boundary samples `(n, k_n)` at `rows`
 /// roughly equally spaced time steps (the early-exercise curve of §4.2,
-/// in grid columns; `s`-space value is `ln(S/K) + k·Δs`).
+/// in centred grid columns; `s`-space value is `ln(S/K) + k·Δs`).
+///
+/// The boundary leaves the apex's cone on the left (`k_n ≥ f₀ − n` while
+/// the cone's edge is `−(T − n)`), so the rows here reach `T − f₀` columns
+/// further left than pricing needs: that keeps the true boundary in view at
+/// every step, at the cost of advancing red cells left of the apex's cone,
+/// which pricing alone never reads.
 pub fn price_with_boundary_samples(
     model: &BsmModel,
     cfg: &EngineConfig,
     rows: usize,
 ) -> (f64, Vec<(usize, i64)>) {
-    let strike = model.params().strike;
-    let t = model.steps() as u64;
-    let f0 = model.expiry_boundary();
-    let mut samples = vec![(0usize, f0)];
-    if f0 >= t as i64 || f0 < -(t as i64) {
-        return (price_american_put_trapezoid(model, cfg), samples);
+    let t = model.steps() as i64;
+    let m = t + (t - model.expiry_boundary()).max(0);
+    let green = shifted_green(model, m);
+    let kernel = shifted_kernel(model);
+    let centred = |row: &GreenPrefixRow| (row.t as usize, row.boundary - (m - row.t as i64));
+    let mut cur = expiry_row(model, m);
+    let mut samples = vec![centred(&cur)];
+    let chunk = (t as u64 / rows.max(1) as u64).max(1);
+    while cur.t < t as u64 {
+        let h = chunk.min(t as u64 - cur.t);
+        cur = left_cone::advance_green_prefix(&kernel, &green, &cur, h, cfg);
+        samples.push(centred(&cur));
     }
-    let green = |_t: u64, k: i64| model.exercise(k);
-    let kernel = model.kernel();
-    let mut cur = expiry_row(model);
-    let chunk = (t / rows.max(1) as u64).max(1);
-    while cur.t < t {
-        let h = chunk.min(t - cur.t);
-        cur = advance_green_left(&kernel, &green, &cur, h, cfg);
-        samples.push((cur.t as usize, cur.boundary));
-    }
-    (strike * cur.value_at(&green, 0), samples)
+    (model.params().strike * cur.value_at(&green, m - t), samples)
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
-//! Left-cone nonlinear stencil engine — American **puts** under BOPM/TOPM.
+//! Left-cone nonlinear stencil engine — American **puts** under BOPM/TOPM,
+//! and under the BSM explicit finite difference in shifted columns.
 //!
 //! Same anchor-0 kernels as [`super::right_cone`] (σ = 2 covers BOPM, σ = 3
-//! covers TOPM), mirrored obstacle geometry: the green (early-exercise)
-//! region sits on the **left** of every row (low columns = low asset
-//! prices), the red (continuation) region on the right, and the last green
-//! column `f_t` drifts **left** by at most `σ − 1` columns per interior
-//! step: `f_t − (σ−1) ≤ f_{t+1} ≤ f_t`.  The drift bound is the mirror of
+//! covers TOPM and the BSM scheme's `[b, c, a]` in the columns
+//! `c = k + (T − t)`, where Thm 4.3's unit drift in `k` becomes a drift of
+//! one to two columns), mirrored obstacle geometry: the green
+//! (early-exercise) region sits on the **left** of every row (low columns =
+//! low asset prices), the red (continuation) region on the right, and the
+//! last green column `f_t` drifts **left** by at most `σ − 1` columns per
+//! interior step: `f_t − (σ−1) ≤ f_{t+1} ≤ f_t`.  The drift bound is the mirror of
 //! Cor. 2.7 / Cor. A.6 under column reflection (`j ↦ i·(σ−1) − j` maps the
 //! put's green-left triangle onto a call-type green-right one; for the
 //! binomial lattice the reflection is the exact discrete put–call symmetry
@@ -182,9 +185,13 @@ where
         }
         acc
     };
-    // Certified-red tail (f, hi1]: the boundary never moves right.
-    let mut tail = Vec::with_capacity((hi1 - f).max(0) as usize);
-    for c in (f + 1)..=hi1 {
+    // Certified-red tail (f, hi1]: the boundary never moves right.  Its
+    // cells right of the stored support read only exact zeros, so they stay
+    // implicit (window rows store up to their cone edge; this skips the
+    // zero tail of a driver's row, whose edge may lie far to the right).
+    let tail_hi = hi1.min(row.reds.end() - 1);
+    let mut tail = Vec::with_capacity((tail_hi - f).max(0) as usize);
+    for c in (f + 1)..=tail_hi {
         tail.push(lin(c));
     }
     // Downward scan from the last in-view boundary candidate.
@@ -443,26 +450,44 @@ mod tests {
         (row[0], boundaries)
     }
 
-    /// A genuine BOPM-put (span 1) or TOPM-put (span 2) instance, for which
-    /// the mirrored drift lemmas hold.  `strike_off` shifts moneyness.
+    /// Synthetic put instances for which the engine's drift bound holds.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// BOPM put: span 1.
+        Binomial,
+        /// TOPM put: span 2.
+        Trinomial,
+        /// BSM explicit finite-difference put in the shifted columns
+        /// `c = k + (T − t)`: span 2, obstacle moving one column per step
+        /// (Thm 4.3's unit drift in `k`).
+        Bsm,
+    }
+
+    /// A genuine instance of `shape`.  `strike_off` shifts moneyness (in
+    /// columns for the BSM shape: the strike sits `strike_off` columns
+    /// right of the apex's centred column at expiry).
     #[allow(clippy::type_complexity)]
     fn synthetic_problem(
         steps: u64,
-        span: usize,
+        shape: Shape,
         strike_off: f64,
     ) -> (StencilKernel, impl Fn(u64, i64) -> f64 + Sync + Clone, Vec<f64>) {
         let r_dt = 0.0010_f64;
         let y_dt = 0.0004_f64;
         let m = (-r_dt).exp();
-        let (kernel, alpha_exp) = match span {
-            1 => {
+        // Obstacle `strike − e^{x0 + α(qc − i)}` with i = steps − t: for the
+        // lattices the node price u^{qc − i} (q = 2 for the binomial layout,
+        // 1 for the trinomial one); for BSM `1 − e^{s_k}` at k = c − i.
+        let (kernel, alpha_exp, q, strike, x0) = match shape {
+            Shape::Binomial => {
                 let alpha = 0.02_f64;
                 let u = alpha.exp();
                 let p = ((r_dt - y_dt).exp() - 1.0 / u) / (u - 1.0 / u);
                 assert!(p > 0.0 && p < 1.0);
-                (StencilKernel::new(vec![m * (1.0 - p), m * p], 0), alpha)
+                let strike = (alpha * (steps as f64 + strike_off)).exp();
+                (StencilKernel::new(vec![m * (1.0 - p), m * p], 0), alpha, 2.0, strike, 0.0)
             }
-            2 => {
+            Shape::Trinomial => {
                 let alpha = 0.04_f64;
                 let su = (alpha / 2.0).exp();
                 let sd = 1.0 / su;
@@ -471,32 +496,48 @@ mod tests {
                 let pd = ((su - b) / (su - sd)).powi(2);
                 let po = 1.0 - pu - pd;
                 assert!(pu > 0.0 && pd > 0.0 && po > 0.0);
-                (StencilKernel::new(vec![m * pd, m * po, m * pu], 0), alpha)
+                let strike = (alpha * (steps as f64 / 2.0 + strike_off)).exp();
+                (StencilKernel::new(vec![m * pd, m * po, m * pu], 0), alpha, 1.0, strike, 0.0)
             }
-            _ => unreachable!(),
+            Shape::Bsm => {
+                // σ = 0.2, R = 0.03, one year; weights of the explicit scheme.
+                let sigma2 = 0.04_f64;
+                let omega = 2.0 * 0.03 / sigma2;
+                let d_tau = 0.5 * sigma2 / steps as f64;
+                let d_s = (d_tau / 0.4).sqrt();
+                let diff = d_tau / (d_s * d_s);
+                let drift = (omega - 1.0) * d_tau / (2.0 * d_s);
+                let (a, b, c) = (diff + drift, diff - drift, 1.0 - omega * d_tau - 2.0 * diff);
+                assert!(a >= 0.0 && b >= 0.0 && c >= 0.0);
+                (StencilKernel::new(vec![b, c, a], 0), d_s, 1.0, 1.0, -strike_off * d_s)
+            }
         };
-        // Node price in grid coordinates: u^{qc − i} with i = steps − t;
-        // q = 2 for the binomial layout, 1 for the trinomial one.
-        let q = if span == 1 { 2.0 } else { 1.0 };
-        let strike = (alpha_exp * (steps as f64 * q / 2.0 + strike_off)).exp();
-        let phi = move |t: u64, c: i64| -> f64 {
+        let green = move |t: u64, c: i64| {
             let i = (steps - t) as f64;
-            (alpha_exp * (q * c as f64 - i)).exp()
+            strike - (x0 + alpha_exp * (q * c as f64 - i)).exp()
         };
-        let green = move |t: u64, c: i64| strike - phi(t, c);
-        let width = steps as usize * span + 1;
+        let width = steps as usize * kernel.span() + 1;
         let init: Vec<f64> = (0..width as i64).map(|c| green(0, c).max(0.0)).collect();
         (kernel, green, init)
     }
 
-    /// Engine row at `t = 1`: one honest dense step from the payoff row
-    /// (the expiry transition may break the unit drift bound — exactly why
-    /// the production drivers materialise row `T−1` explicitly).
-    fn first_step_row<G: Fn(u64, i64) -> f64>(
+    /// The engine's starting row.  The lattice puts start at `t = 1`, one
+    /// honest dense step from the payoff row (the expiry transition may
+    /// break their drift bound — exactly why the production drivers
+    /// materialise row `T−1` explicitly).  The BSM put starts from the
+    /// expiry row itself, as its driver does: Thm 4.3 holds from expiry on,
+    /// and the out-of-the-money payoff is the implicit zero tail.
+    fn start_row<G: Fn(u64, i64) -> f64>(
+        shape: Shape,
         kernel: &StencilKernel,
         green: &G,
         init: &[f64],
     ) -> GreenPrefixRow {
+        if let Shape::Bsm = shape {
+            let hi = (init.len() - 1) as i64;
+            let f = (0..=hi).rev().find(|&c| green(0, c) >= 0.0).unwrap_or(-1);
+            return GreenPrefixRow { t: 0, boundary: f, hi, reds: Segment::new(f + 1, vec![]) };
+        }
         let span = kernel.span();
         let hi = (init.len() - 1 - span) as i64;
         let mut f = -1i64;
@@ -515,14 +556,14 @@ mod tests {
         GreenPrefixRow { t: 1, boundary: f, hi, reds: Segment::new(f + 1, values) }
     }
 
-    fn check_matches_dense(steps: u64, span: usize, strike_off: f64, cfg: &EngineConfig) {
-        let (kernel, green, init) = synthetic_problem(steps, span, strike_off);
+    fn check_matches_dense(steps: u64, shape: Shape, strike_off: f64, cfg: &EngineConfig) {
+        let (kernel, green, init) = synthetic_problem(steps, shape, strike_off);
         let (want, _) = dense_solve(&kernel, &green, &init, steps);
-        let row = first_step_row(&kernel, &green, &init);
+        let row = start_row(shape, &kernel, &green, &init);
         let got = solve_to_root(&kernel, &green, row, steps, cfg);
         assert!(
             (got - want).abs() < 1e-9 * want.abs().max(1.0),
-            "steps={steps} span={span} off={strike_off}: fast {got} vs dense {want}"
+            "steps={steps} {shape:?} off={strike_off}: fast {got} vs dense {want}"
         );
     }
 
@@ -530,7 +571,7 @@ mod tests {
     fn binomial_like_matches_dense_across_sizes() {
         let cfg = EngineConfig::default();
         for steps in [2u64, 3, 5, 8, 9, 16, 33, 100, 257, 1000] {
-            check_matches_dense(steps, 1, 0.0, &cfg);
+            check_matches_dense(steps, Shape::Binomial, 0.0, &cfg);
         }
     }
 
@@ -538,7 +579,11 @@ mod tests {
     fn trinomial_like_matches_dense_across_sizes() {
         let cfg = EngineConfig::default();
         for steps in [2u64, 3, 8, 21, 64, 200, 513] {
-            check_matches_dense(steps, 2, 0.0, &cfg);
+            check_matches_dense(steps, Shape::Trinomial, 0.0, &cfg);
+        }
+        // The BSM put is trinomial-like in shifted columns, from expiry on.
+        for steps in [1u64, 2, 5, 8, 9, 16, 33, 100, 257, 600] {
+            check_matches_dense(steps, Shape::Bsm, 0.0, &cfg);
         }
     }
 
@@ -546,8 +591,9 @@ mod tests {
     fn matches_dense_across_moneyness() {
         let cfg = EngineConfig::default();
         for off in [-40.0, -10.0, -1.0, 1.0, 10.0, 40.0] {
-            check_matches_dense(300, 1, off, &cfg);
-            check_matches_dense(150, 2, off, &cfg);
+            check_matches_dense(300, Shape::Binomial, off, &cfg);
+            check_matches_dense(150, Shape::Trinomial, off, &cfg);
+            check_matches_dense(300, Shape::Bsm, off, &cfg);
         }
     }
 
@@ -555,44 +601,52 @@ mod tests {
     fn different_base_cutoffs_agree() {
         for cutoff in [1u64, 4, 8, 32, 100] {
             let cfg = EngineConfig { base_cutoff: cutoff, ..EngineConfig::default() };
-            check_matches_dense(300, 1, 0.0, &cfg);
-            check_matches_dense(150, 2, 0.0, &cfg);
+            check_matches_dense(300, Shape::Binomial, 0.0, &cfg);
+            check_matches_dense(150, Shape::Trinomial, 0.0, &cfg);
+            check_matches_dense(200, Shape::Bsm, 0.0, &cfg);
         }
     }
 
     #[test]
     fn direct_taps_backend_agrees() {
         let cfg = EngineConfig { backend: Backend::DirectTaps, ..EngineConfig::default() };
-        check_matches_dense(200, 1, 0.0, &cfg);
+        check_matches_dense(200, Shape::Binomial, 0.0, &cfg);
     }
 
     #[test]
     fn boundary_position_matches_dense_reference() {
         let steps = 240u64;
-        let (kernel, green, init) = synthetic_problem(steps, 1, 0.0);
-        let (_, dense_b) = dense_solve(&kernel, &green, &init, steps);
-        // Interior rows obey the unit drift the engine relies on.
-        for w in dense_b.windows(2) {
-            assert!(w[1] <= w[0] && w[1] >= w[0] - 1, "drift violated: {w:?}");
+        let cfg = EngineConfig::default();
+        for shape in [Shape::Binomial, Shape::Bsm] {
+            let (kernel, green, init) = synthetic_problem(steps, shape, 0.0);
+            let (_, dense_b) = dense_solve(&kernel, &green, &init, steps);
+            // Interior rows obey the drift bound the engine relies on (one
+            // column per step for BOPM, one to two for shifted BSM).
+            let span = kernel.span() as i64;
+            for w in dense_b.windows(2) {
+                assert!(w[1] <= w[0] && w[1] >= w[0] - span, "{shape:?} drift violated: {w:?}");
+            }
+            // `dense_b[t − 1]` is the last green column of row `t`.
+            let row = start_row(shape, &kernel, &green, &init);
+            if row.t > 0 {
+                assert_eq!(row.boundary, dense_b[row.t as usize - 1]);
+            }
+            let half = steps / 2;
+            let mid = advance_green_prefix(&kernel, &green, &row, half - row.t, &cfg);
+            assert_eq!(mid.boundary, dense_b[half as usize - 1], "{shape:?}");
+            let out = advance_green_prefix(&kernel, &green, &mid, steps - half, &cfg);
+            assert_eq!(out.t, steps);
+            assert_eq!(out.boundary, dense_b[steps as usize - 1], "{shape:?}");
         }
-        let row = first_step_row(&kernel, &green, &init);
-        assert_eq!(row.boundary, dense_b[0]);
-        let half = steps / 2;
-        let mid = advance_green_prefix(&kernel, &green, &row, half - 1, &EngineConfig::default());
-        assert_eq!(mid.boundary, dense_b[half as usize - 1]);
-        let out =
-            advance_green_prefix(&kernel, &green, &mid, steps - half, &EngineConfig::default());
-        assert_eq!(out.t, steps);
-        assert_eq!(out.boundary, dense_b[steps as usize - 1]);
     }
 
     #[test]
     fn values_stay_bounded_by_the_strike() {
         // The raw-space justification: every put value is in [0, K].
         let steps = 4096u64;
-        let (kernel, green, init) = synthetic_problem(steps, 1, 0.0);
+        let (kernel, green, init) = synthetic_problem(steps, Shape::Binomial, 0.0);
         let strike = green(0, -1_000_000); // φ vanishes far left: green ≈ K
-        let row = first_step_row(&kernel, &green, &init);
+        let row = start_row(Shape::Binomial, &kernel, &green, &init);
         let out = advance_green_prefix(&kernel, &green, &row, steps - 1, &EngineConfig::default());
         for &v in &out.reds.values {
             assert!(v.is_finite() && v >= -1e-12 && v <= strike, "value {v} out of [0, K]");
@@ -603,20 +657,22 @@ mod tests {
     fn deep_itm_goes_all_green() {
         // Strike far above every node: exercise everywhere, price = green.
         let steps = 64u64;
-        let (kernel, green, init) = synthetic_problem(steps, 1, 500.0);
-        let row = first_step_row(&kernel, &green, &init);
-        assert!(row.is_all_green());
-        let got = solve_to_root(&kernel, &green, row, steps, &EngineConfig::default());
-        assert_eq!(got, green(steps, 0));
+        for shape in [Shape::Binomial, Shape::Bsm] {
+            let (kernel, green, init) = synthetic_problem(steps, shape, 500.0);
+            let row = start_row(shape, &kernel, &green, &init);
+            assert!(row.is_all_green(), "{shape:?}");
+            let got = solve_to_root(&kernel, &green, row, steps, &EngineConfig::default());
+            assert_eq!(got, green(steps, 0), "{shape:?}");
+        }
     }
 
     #[test]
     fn deep_otm_is_exactly_zero() {
         // Strike below every node: payoff row identically zero, price 0.
         let steps = 64u64;
-        let (kernel, green, init) = synthetic_problem(steps, 1, -500.0);
+        let (kernel, green, init) = synthetic_problem(steps, Shape::Binomial, -500.0);
         assert!(init.iter().all(|&v| v == 0.0));
-        let row = first_step_row(&kernel, &green, &init);
+        let row = start_row(Shape::Binomial, &kernel, &green, &init);
         assert_eq!(row.boundary, -1);
         let got = solve_to_root(&kernel, &green, row, steps, &EngineConfig::default());
         assert_eq!(got, 0.0);
@@ -637,9 +693,9 @@ mod tests {
         // advance(h1) ∘ advance(h2) == advance(h1 + h2) — what the
         // boundary-sampling drivers rely on.
         let steps = 200u64;
-        let (kernel, green, init) = synthetic_problem(steps, 1, 0.0);
+        let (kernel, green, init) = synthetic_problem(steps, Shape::Binomial, 0.0);
         let cfg = EngineConfig::default();
-        let row = first_step_row(&kernel, &green, &init);
+        let row = start_row(Shape::Binomial, &kernel, &green, &init);
         let once = advance_green_prefix(&kernel, &green, &row, steps - 1, &cfg);
         let mut chunked = row;
         for h in [30u64, 70, 50, 49] {

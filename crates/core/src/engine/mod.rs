@@ -4,33 +4,34 @@
 //! `max(linear combination of the previous row, closed-form obstacle)`.
 //! The space-time grid then splits into a **red** region (linear update wins)
 //! and a **green** region (obstacle wins) separated by a monotone boundary
-//! that drifts at most one column per step (Cor. 2.7 / Thm 4.3 / Cor. A.6).
+//! whose drift per step is bounded by the kernel span (Cor. 2.7 / Thm 4.3 /
+//! Cor. A.6): at most one column for lattice calls, `σ − 1` for lattice
+//! puts, and two for the BSM put in shifted columns.
 //!
-//! Three engines cover the geometries used by the pricing models:
+//! Two engines cover the geometries used by the pricing models, both with
+//! anchor-0 kernels (the cone opens rightward):
 //!
-//! * [`right_cone`]: kernel anchored at offset 0 (cone opens rightward),
-//!   green region on the *right*, boundary drifts left — BOPM (§2.3) and
-//!   TOPM (§3, App. A.3) American **calls**;
-//! * [`left_cone`]: the same anchor-0 kernels with the green region on the
-//!   *left*, boundary drifting left — BOPM/TOPM American **puts**, the
-//!   mirror geometry under the discrete put–call symmetry;
-//! * [`centered`]: symmetric 3-point kernel, green region on the *left*,
-//!   boundary drifts left — the BSM explicit finite difference (§4.3).
+//! * [`right_cone`]: green region on the *right*, boundary drifts left —
+//!   BOPM (§2.3) and TOPM (§3, App. A.3) American **calls**;
+//! * [`left_cone`]: green region on the *left*, boundary drifting left —
+//!   BOPM/TOPM American **puts** (the mirror geometry under the discrete
+//!   put–call symmetry) and the BSM explicit finite-difference put (§4.3),
+//!   whose centred 3-point kernel becomes an anchor-0, span-2 kernel in the
+//!   shifted columns `c = k + (T − t)`.
 //!
 //! Below a measured depth `T*` per (model, option type) the public fast
 //! pricers skip the engines altogether: [`dense`] holds the crossovers and
 //! the row kernel of the table-driven `Θ(T²)` sweep they run instead.
 //!
-//! All three advance a compressed row representation ([`RedRow`] /
-//! [`left_cone::GreenPrefixRow`] / [`centered::GreenLeftRow`]) by `h` steps
-//! in `O(h log² h)` work and `O(h)` span, calling the linear FFT advance of
-//! `amopt-stencil` on regions whose redness is certified by the drift bound,
-//! and recursing on a boundary-centred window of half height.  The call
-//! engine works in premium space (`δ = G − green`, the affine-correction
-//! trick below); the put engines work in raw value space, where the grid
-//! values are bounded by the strike.
+//! Both advance a compressed row representation ([`RedRow`] /
+//! [`left_cone::GreenPrefixRow`]) by `h` steps in `O(h log² h)` work and
+//! `O(h)` span, calling the linear FFT advance of `amopt-stencil` on regions
+//! whose redness is certified by the drift bound, and recursing on a
+//! boundary window of half height.  The call engine works in premium space
+//! (`δ = G − green`, the affine-correction trick below); the put engine
+//! works in raw value space, where the grid values are bounded by the
+//! strike.
 
-pub mod centered;
 pub mod dense;
 pub mod left_cone;
 pub mod right_cone;
@@ -171,7 +172,7 @@ mod tests {
     }
 }
 
-/// Tuning knobs shared by both engines.
+/// Tuning knobs shared by the two engines.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Trapezoid height at or below which the naive loop runs

@@ -79,12 +79,17 @@ pub fn bsm_put_boundary(
     let (_, raw) = crate::bsm::fast::price_with_boundary_samples(model, cfg, samples);
     raw.into_iter()
         .map(|(n, k)| {
-            // Engine row n counts from expiry; market step i = T − n.
+            // Engine row n counts from expiry; market step i = T − n, and
+            // the row spans columns [−i, i].  Last green column is k
+            // (clamped to the row: a boundary at or past its right edge
+            // means the whole row exercises); k < −i means no exercise
+            // region in the row.
             let i = t - n;
+            let edge = i as i64;
             BoundaryPoint {
                 time_step: i,
                 time_years: expiry * i as f64 / t as f64,
-                critical_price: (k >= -(t as i64 - n as i64)).then(|| strike * model.s_at(k).exp()),
+                critical_price: (k >= -edge).then(|| strike * model.s_at(k.min(edge)).exp()),
             }
         })
         .collect()
@@ -211,6 +216,21 @@ mod tests {
         }
         for &x in &prices {
             assert!(x <= m.params().strike * (1.0 + 1e-12));
+        }
+        // Deep in the money (S=1, K=130: the expiry boundary sits past the
+        // cone's right edge) every row exercises, and the frontier is the
+        // row's top node, never a price beyond the grid.
+        let steps = 300;
+        let deep = BsmModel::new(OptionParams { spot: 1.0, strike: 130.0, ..p }, steps).unwrap();
+        assert!(deep.expiry_boundary() > steps as i64);
+        for pt in bsm_put_boundary(&deep, &EngineConfig::default(), 8) {
+            let top = deep.params().strike * deep.s_at(pt.time_step as i64).exp();
+            let x = pt.critical_price.expect("every row exercises");
+            assert!(
+                x <= top * (1.0 + 1e-12),
+                "step {}: critical {x} above top node {top}",
+                pt.time_step
+            );
         }
     }
 
